@@ -7,8 +7,11 @@ LDFLAGS := -ldflags "-X harmony/internal/obs.Version=$(VERSION)"
 
 .PHONY: check fmt vet build test race ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke bench-smoke bench-report bench-comm bench-comp bench-rebalance bench-fair bench-place bench-admit trace-demo
 
-## check: full local gate — gofmt, vet, build, race-enabled tests, bench smoke run
-check: fmt vet build ctl-smoke comm-smoke comp-smoke obs-smoke ps-rebalance-smoke fair-smoke place-smoke admit-smoke snapshot-smoke race bench-smoke
+## check: full local gate — gofmt, vet, build, race-enabled tests, bench
+## smoke run. The *-smoke targets below are developer shortcuts: each runs
+## a subset of the `race` target's `go test -race ./...`, so check does
+## not repeat them.
+check: fmt vet build race bench-smoke
 
 ## fmt: fail if any file is not gofmt-formatted
 fmt:
@@ -75,8 +78,9 @@ obs-smoke:
 	$(GO) test -race -run 'TestTracedClusterOverHTTP' ./internal/ctl/
 
 ## admit-smoke: race-enabled pass over the admission fast path — Scorer
-## bit-identity property tests, fast-vs-legacy decision parity on a live
-## cluster, zero-full-rescore regression, the coalescing drainer, and the
+## bit-identity property tests against the clone-and-rescore test
+## oracles, cached-vs-rebuilt decision parity on a live cluster,
+## zero-full-rescore regression, the coalescing drainer, and the
 ## concurrent status-reader/enqueue-churn stress test
 admit-smoke:
 	$(GO) test -race -run 'TestScorer|TestIncrementalAdmissionBitIdentical|TestScoreDeltaAllocFree|TestRegroupAfterFinish' ./internal/core/
@@ -102,14 +106,17 @@ bench-smoke:
 bench-report:
 	$(GO) run ./cmd/harmony-bench -bench
 
-## bench-comm: data-plane report — binary codec vs gob baseline
-## (BENCH_commpath.json)
+## bench-comm: data-plane report — the go test benchmarks compare the
+## binary codec with the gob baseline (BenchmarkPullPushGob);
+## harmony-bench writes the binary plane's numbers to BENCH_commpath.json
 bench-comm:
 	$(GO) test ./internal/ps/ -run XXX -bench 'BenchmarkPullPush' -benchmem
 	$(GO) run ./cmd/harmony-bench -bench-comm
 
-## bench-comp: compute-path report — cached binary blocks + fused
-## multicore kernel vs the gob-decode serial baseline (BENCH_comppath.json)
+## bench-comp: compute-path report — the go test benchmarks compare cached
+## binary blocks + fused multicore kernel with the gob-decode serial
+## baseline; harmony-bench writes the fast path's numbers to
+## BENCH_comppath.json
 bench-comp:
 	$(GO) test ./internal/worker/ -run XXX -bench 'BenchmarkComp' -benchmem
 	$(GO) run ./cmd/harmony-bench -bench-comp
@@ -135,8 +142,7 @@ bench-place:
 	$(GO) run ./cmd/harmony-bench -bench-place
 
 ## bench-admit: cluster-scale admission report — 1K workers, 10K held
-## arrivals, completion-churn drain passes; incremental fast path vs the
-## clone-and-rescore baseline (BENCH_admit.json)
+## arrivals, completion-churn drain passes (BENCH_admit.json)
 bench-admit:
 	$(GO) run ./cmd/harmony-bench -bench-admit
 

@@ -10,60 +10,34 @@ import (
 	"harmony/internal/master"
 )
 
-// Admission fast-path benchmark (-bench-admit): the cluster-scale A/B of
-// DESIGN.md §15. A live master is seeded with 100 jobs across 50 groups
-// of 20 machines (1K workers behind a stub RPC fleet), then flooded with
-// 10K held arrivals and churned through completions that each trigger a
-// full drain pass over the held queue. The legacy mode re-enables the
-// clone-and-rescore admission path; the headline metrics are drain
-// admissions/sec and Enqueue p50/p99 latency, fast vs legacy.
+// Admission benchmark (-bench-admit): the cluster-scale run of DESIGN.md
+// §15. A live master is seeded with 100 jobs across 50 groups of 20
+// machines (1K workers behind a stub RPC fleet), then flooded with 10K
+// held arrivals and churned through completions that each trigger a full
+// drain pass over the held queue. The headline metrics are drain
+// admissions/sec and Enqueue p50/p99 latency, compared with the
+// previous committed BENCH_admit.json.
 
 // admitReport is the machine-readable record written to BENCH_admit.json;
 // future PRs diff against it.
 type admitReport struct {
-	GoMaxProcs int                     `json:"gomaxprocs"`
-	GoVersion  string                  `json:"go_version"`
-	Timestamp  string                  `json:"timestamp"`
-	Legacy     master.AdmitBenchResult `json:"legacy"`
-	Fast       master.AdmitBenchResult `json:"fast"`
-	// AdmitSpeedup is legacy drain seconds over fast drain seconds (both
-	// modes admit the identical job set, so this is the admissions/sec
-	// ratio). EnqueueP99Speedup compares held-arrival tail latency.
-	AdmitSpeedup      float64 `json:"drain_admissions_per_sec_fast_vs_legacy"`
-	EnqueueP50Speedup float64 `json:"enqueue_p50_fast_vs_legacy"`
-	EnqueueP99Speedup float64 `json:"enqueue_p99_fast_vs_legacy"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Timestamp  string `json:"timestamp"`
+	master.AdmitBenchResult
 }
 
 func runBenchAdmit(path string) error {
-	cfg := master.AdmitBenchConfig{}
 	report := admitReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
-	fmt.Println("benchmarking admission fast path: 1K workers, 50 groups, 10K held arrivals, completion churn...")
+	fmt.Println("benchmarking admission: 1K workers, 50 groups, 10K held arrivals, completion churn...")
 
 	var err error
-	cfg.Legacy = true
-	if report.Legacy, err = master.RunAdmitBench(cfg); err != nil {
+	if report.AdmitBenchResult, err = master.RunAdmitBench(master.AdmitBenchConfig{}); err != nil {
 		return err
-	}
-	cfg.Legacy = false
-	if report.Fast, err = master.RunAdmitBench(cfg); err != nil {
-		return err
-	}
-	if report.Legacy.Admissions != report.Fast.Admissions {
-		return fmt.Errorf("bench-admit: decision divergence: legacy admitted %d, fast admitted %d",
-			report.Legacy.Admissions, report.Fast.Admissions)
-	}
-	if report.Fast.DrainSeconds > 0 {
-		report.AdmitSpeedup = report.Legacy.DrainSeconds / report.Fast.DrainSeconds
-	}
-	if report.Fast.EnqueueP50Micros > 0 {
-		report.EnqueueP50Speedup = report.Legacy.EnqueueP50Micros / report.Fast.EnqueueP50Micros
-	}
-	if report.Fast.EnqueueP99Micros > 0 {
-		report.EnqueueP99Speedup = report.Legacy.EnqueueP99Micros / report.Fast.EnqueueP99Micros
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -73,16 +47,12 @@ func runBenchAdmit(path string) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("\n  %-6s %12s %12s %12s %12s %12s %12s\n",
-		"MODE", "ENQ_P50(µs)", "ENQ_P99(µs)", "DRAIN(s)", "ADMITS", "ADMITS/s", "SCORE_CALLS")
-	for _, r := range []master.AdmitBenchResult{report.Legacy, report.Fast} {
-		fmt.Printf("  %-6s %12.0f %12.0f %12.3f %12d %12.0f %12d\n",
-			r.Mode, r.EnqueueP50Micros, r.EnqueueP99Micros, r.DrainSeconds,
-			r.Admissions, r.AdmissionsPerSec, r.FullScoreCalls)
-	}
-	fmt.Printf("\n  drain admissions/sec fast/legacy: %.1fx\n", report.AdmitSpeedup)
-	fmt.Printf("  enqueue p50 fast/legacy: %.1fx, p99: %.1fx\n",
-		report.EnqueueP50Speedup, report.EnqueueP99Speedup)
+	r := report.AdmitBenchResult
+	fmt.Printf("\n  %12s %12s %12s %12s %12s %12s\n",
+		"ENQ_P50(µs)", "ENQ_P99(µs)", "DRAIN(s)", "ADMITS", "ADMITS/s", "SCORE_CALLS")
+	fmt.Printf("  %12.0f %12.0f %12.3f %12d %12.0f %12d\n",
+		r.EnqueueP50Micros, r.EnqueueP99Micros, r.DrainSeconds,
+		r.Admissions, r.AdmissionsPerSec, r.FullScoreCalls)
 	fmt.Printf("  wrote %s\n", path)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,11 +14,9 @@ import (
 
 // Comm-path benchmark (-bench-comm): one steady-state COMM iteration — a
 // full-model pull plus a full-delta push across commServers loopback
-// parameter servers — measured on the binary data plane and on a
-// faithful replica of the pre-refactor gob implementation (one
-// server-wide RWMutex, gob request/reply structs, full-partition copy
-// per pull). The replica lives here so the comparison survives even as
-// the ps package evolves.
+// parameter servers — on the binary data plane, compared with the
+// previous committed BENCH_commpath.json. The gob baseline lives in
+// `go test -bench BenchmarkPullPushGob ./internal/ps/` (make bench-comm).
 const (
 	commModelParams = 1 << 20 // 1M float64 parameters, 8 MB
 	commServers     = 4
@@ -34,10 +31,6 @@ type commReport struct {
 	ModelParams int           `json:"model_params"`
 	Servers     int           `json:"servers"`
 	Results     []benchResult `json:"results"`
-	// Speedup is gob ns/op over binary ns/op; AllocRatio is gob
-	// allocs/op over binary allocs/op.
-	Speedup    float64 `json:"speedup_vs_gob"`
-	AllocRatio float64 `json:"alloc_ratio_vs_gob"`
 }
 
 func runBenchComm(path string) error {
@@ -59,22 +52,11 @@ func runBenchComm(path string) error {
 	fmt.Printf("benchmarking COMM path: pull+push of %d params over %d servers...\n",
 		commModelParams, commServers)
 
-	binary, cleanup, err := measureBinaryComm(model, delta)
+	binary, err := measureBinaryComm(model, delta)
 	if err != nil {
 		return err
 	}
-	cleanup()
-	gob, cleanup, err := measureGobComm(model, delta)
-	if err != nil {
-		return err
-	}
-	cleanup()
-
-	report.Results = []benchResult{binary, gob}
-	report.Speedup = float64(gob.NsPerOp) / float64(binary.NsPerOp)
-	if binary.AllocsPerOp > 0 {
-		report.AllocRatio = float64(gob.AllocsPerOp) / float64(binary.AllocsPerOp)
-	}
+	report.Results = []benchResult{binary}
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -89,15 +71,13 @@ func runBenchComm(path string) error {
 		fmt.Printf("  %-24s %12d ns/op %12d B/op %8d allocs/op\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	fmt.Printf("binary data plane: %.1fx faster, %.1fx fewer allocs/op than gob\n",
-		report.Speedup, report.AllocRatio)
 	fmt.Printf("report written to %s\n", path)
 	return nil
 }
 
 // startCommServers brings up n parameter servers on loopback and returns
 // their addresses plus a teardown func.
-func startCommServers(n int, register func(*rpc.Server)) ([]string, func(), error) {
+func startCommServers(n int) ([]string, func(), error) {
 	addrs := make([]string, 0, n)
 	servers := make([]*rpc.Server, 0, n)
 	cleanup := func() {
@@ -107,7 +87,7 @@ func startCommServers(n int, register func(*rpc.Server)) ([]string, func(), erro
 	}
 	for i := 0; i < n; i++ {
 		srv := rpc.NewServer()
-		register(srv)
+		ps.NewServer().Register(srv)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			cleanup()
@@ -119,22 +99,19 @@ func startCommServers(n int, register func(*rpc.Server)) ([]string, func(), erro
 	return addrs, cleanup, nil
 }
 
-func measureBinaryComm(model, delta []float64) (benchResult, func(), error) {
-	addrs, cleanup, err := startCommServers(commServers, func(srv *rpc.Server) {
-		ps.NewServer().Register(srv)
-	})
+func measureBinaryComm(model, delta []float64) (benchResult, error) {
+	addrs, cleanup, err := startCommServers(commServers)
 	if err != nil {
-		return benchResult{}, nil, err
+		return benchResult{}, err
 	}
+	defer cleanup()
 	c, err := ps.NewClient(addrs, time.Minute)
 	if err != nil {
-		cleanup()
-		return benchResult{}, nil, err
+		return benchResult{}, err
 	}
+	defer c.Close()
 	if err := c.Init("bench", model); err != nil {
-		c.Close()
-		cleanup()
-		return benchResult{}, nil, err
+		return benchResult{}, err
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -148,149 +125,11 @@ func measureBinaryComm(model, delta []float64) (benchResult, func(), error) {
 		}
 	})
 	return benchResult{
-			Name:        "commpath_binary",
-			Parallelism: commServers,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}, func() {
-			c.Close()
-			cleanup()
-		}, nil
-}
-
-// --- gob baseline, replicated from the pre-refactor ps package --------
-
-type gobPartition struct {
-	lo     int
-	values []float64
-}
-
-type gobServer struct {
-	mu    sync.RWMutex
-	parts map[string]*gobPartition
-}
-
-func registerGobServer(srv *rpc.Server) {
-	s := &gobServer{parts: make(map[string]*gobPartition)}
-	srv.Handle("psgob.init", rpc.Typed(func(a ps.InitArgs) (ps.Ack, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		vals := make([]float64, len(a.Values))
-		copy(vals, a.Values)
-		s.parts[a.Job] = &gobPartition{lo: a.Lo, values: vals}
-		return ps.Ack{}, nil
-	}))
-	srv.Handle("psgob.pull", rpc.Typed(func(a ps.PullArgs) (ps.PullReply, error) {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		p, ok := s.parts[a.Job]
-		if !ok {
-			return ps.PullReply{}, fmt.Errorf("no partition for job %q", a.Job)
-		}
-		vals := make([]float64, len(p.values))
-		copy(vals, p.values)
-		return ps.PullReply{Lo: p.lo, Values: vals}, nil
-	}))
-	srv.Handle("psgob.push", rpc.Typed(func(a ps.PushArgs) (ps.Ack, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		p, ok := s.parts[a.Job]
-		if !ok {
-			return ps.Ack{}, fmt.Errorf("no partition for job %q", a.Job)
-		}
-		start := a.Lo - p.lo
-		if start < 0 || start+len(a.Delta) > len(p.values) {
-			return ps.Ack{}, fmt.Errorf("push shape mismatch for job %q", a.Job)
-		}
-		for i, d := range a.Delta {
-			p.values[start+i] += d
-		}
-		return ps.Ack{}, nil
-	}))
-}
-
-func measureGobComm(model, delta []float64) (benchResult, func(), error) {
-	addrs, cleanup, err := startCommServers(commServers, registerGobServer)
-	if err != nil {
-		return benchResult{}, nil, err
-	}
-	clients := make([]*rpc.Client, 0, len(addrs))
-	closeAll := func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-		cleanup()
-	}
-	for _, addr := range addrs {
-		cl, err := rpc.Dial(addr, time.Minute)
-		if err != nil {
-			closeAll()
-			return benchResult{}, nil, err
-		}
-		clients = append(clients, cl)
-	}
-	k := len(clients)
-	for i, cl := range clients {
-		lo, hi := ps.Partition(len(model), k, i)
-		if _, err := rpc.Invoke[ps.InitArgs, ps.Ack](cl, "psgob.init",
-			ps.InitArgs{Job: "bench", Lo: lo, Values: model[lo:hi]}, time.Minute); err != nil {
-			closeAll()
-			return benchResult{}, nil, err
-		}
-	}
-	pullPush := func() error {
-		out := make([]float64, len(model))
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i, cl := range clients {
-			wg.Add(1)
-			go func(i int, cl *rpc.Client) {
-				defer wg.Done()
-				reply, err := rpc.Invoke[ps.PullArgs, ps.PullReply](cl, "psgob.pull",
-					ps.PullArgs{Job: "bench"}, time.Minute)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				copy(out[reply.Lo:], reply.Values)
-			}(i, cl)
-		}
-		wg.Wait()
-		for i, cl := range clients {
-			lo, hi := ps.Partition(len(delta), k, i)
-			wg.Add(1)
-			go func(i int, cl *rpc.Client, lo, hi int) {
-				defer wg.Done()
-				if _, err := rpc.Invoke[ps.PushArgs, ps.Ack](cl, "psgob.push",
-					ps.PushArgs{Job: "bench", Lo: lo, Delta: delta[lo:hi]}, time.Minute); err != nil {
-					errs[i] = err
-				}
-			}(i, cl, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pullPush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return benchResult{
-		Name:        "commpath_gob_baseline",
+		Name:        "commpath_binary",
 		Parallelism: commServers,
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Iterations:  r.N,
-	}, closeAll, nil
+	}, nil
 }

@@ -10,16 +10,14 @@ import (
 	"time"
 
 	"harmony/internal/mlapp"
-	"harmony/internal/rpc"
 )
 
 // Comp-path benchmark (-bench-comp): one steady-state COMP subtask per
 // mlapp algorithm — shard access plus the full update-and-loss
-// computation — measured on the fast path (columnar payloads decoded
-// once, fused multicore kernel) and on a faithful replica of the seed
-// implementation (gob-decode every block per iteration, serial
-// ComputeInto, separate Loss pass). The replica lives here so the
-// comparison survives as the mlapp and worker packages evolve.
+// computation — on the fast path (columnar payloads decoded once, fused
+// multicore kernel), compared with the previous committed
+// BENCH_comppath.json. The gob-decode serial baseline lives in
+// `go test -bench BenchmarkComp ./internal/worker/` (make bench-comp).
 const (
 	compRows         = 512
 	compFeatures     = 32
@@ -37,9 +35,6 @@ type compReport struct {
 	Features   int           `json:"features"`
 	Classes    int           `json:"classes"`
 	Results    []benchResult `json:"results"`
-	// Speedups maps algorithm kind to gob-baseline ns/op over fast-path
-	// ns/op at this GOMAXPROCS.
-	Speedups map[string]float64 `json:"speedup_vs_gob"`
 }
 
 func runBenchComp(path string) error {
@@ -51,7 +46,6 @@ func runBenchComp(path string) error {
 		Rows:       compRows,
 		Features:   compFeatures,
 		Classes:    compClasses,
-		Speedups:   make(map[string]float64),
 	}
 	fmt.Printf("benchmarking COMP path: %d rows × %d features, %d classes, GOMAXPROCS=%d...\n",
 		compRows, compFeatures, compClasses, procs)
@@ -63,12 +57,7 @@ func runBenchComp(path string) error {
 		if err != nil {
 			return err
 		}
-		gob, err := measureCompGob(cfg)
-		if err != nil {
-			return err
-		}
-		report.Results = append(report.Results, fast, gob)
-		report.Speedups[kind.String()] = float64(gob.NsPerOp) / float64(fast.NsPerOp)
+		report.Results = append(report.Results, fast)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -84,17 +73,13 @@ func runBenchComp(path string) error {
 		fmt.Printf("  %-28s %12d ns/op %12d B/op %8d allocs/op\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	for _, kind := range []mlapp.Kind{mlapp.MLR, mlapp.Lasso, mlapp.NMF, mlapp.LDA} {
-		fmt.Printf("%-6s fast path: %.1fx faster than the gob-decode serial baseline\n",
-			kind.String(), report.Speedups[kind.String()])
-	}
 	fmt.Printf("report written to %s\n", path)
 	return nil
 }
 
-// compSetup generates the shard and encodes it into per-block payloads
-// with the given encoder, mirroring the worker's load path.
-func compSetup(cfg mlapp.Config, encode func([]mlapp.Example) ([]byte, error)) (mlapp.Algorithm, *mlapp.Shard, [][]byte, error) {
+// compSetup generates the shard and encodes it into columnar per-block
+// payloads, mirroring the worker's load path.
+func compSetup(cfg mlapp.Config) (mlapp.Algorithm, *mlapp.Shard, [][]byte, error) {
 	algo, err := mlapp.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -110,11 +95,7 @@ func compSetup(cfg mlapp.Config, encode func([]mlapp.Example) ([]byte, error)) (
 		if hi > len(shard.Examples) {
 			hi = len(shard.Examples)
 		}
-		p, err := encode(shard.Examples[lo:hi])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		payloads = append(payloads, p)
+		payloads = append(payloads, mlapp.AppendExamples(nil, shard.Examples[lo:hi]))
 	}
 	return algo, shard, payloads, nil
 }
@@ -122,9 +103,7 @@ func compSetup(cfg mlapp.Config, encode func([]mlapp.Example) ([]byte, error)) (
 // measureCompFast times the fast path: columnar blocks decoded once into
 // a cached view, then the fused multicore kernel per iteration.
 func measureCompFast(cfg mlapp.Config) (benchResult, error) {
-	algo, shard, payloads, err := compSetup(cfg, func(ex []mlapp.Example) ([]byte, error) {
-		return mlapp.AppendExamples(nil, ex), nil
-	})
+	algo, shard, payloads, err := compSetup(cfg)
 	if err != nil {
 		return benchResult{}, err
 	}
@@ -151,45 +130,6 @@ func measureCompFast(cfg mlapp.Config) (benchResult, error) {
 	return benchResult{
 		Name:        "comppath_fast_" + cfg.Kind.String(),
 		Parallelism: runtime.GOMAXPROCS(0),
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Iterations:  r.N,
-	}, nil
-}
-
-// measureCompGob replays the seed COMP subtask: gob payloads decoded on
-// every iteration, freshly assembled shard, serial update pass, then a
-// second full pass for the loss.
-func measureCompGob(cfg mlapp.Config) (benchResult, error) {
-	algo, shard, payloads, err := compSetup(cfg, func(ex []mlapp.Example) ([]byte, error) {
-		return rpc.Encode(ex)
-	})
-	if err != nil {
-		return benchResult{}, err
-	}
-	rng := rand.New(rand.NewSource(7))
-	model := algo.InitModel(rng)
-	var delta []float64
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := &mlapp.Shard{Kind: shard.Kind, RowOffset: shard.RowOffset}
-			for _, p := range payloads {
-				var examples []mlapp.Example
-				if err := rpc.Decode(p, &examples); err != nil {
-					b.Fatal(err)
-				}
-				out.Examples = append(out.Examples, examples...)
-			}
-			delta = algo.ComputeInto(delta, model, out, rng)
-			_ = algo.Loss(model, out)
-		}
-	})
-	_ = delta
-	return benchResult{
-		Name:        "comppath_gob_baseline_" + cfg.Kind.String(),
-		Parallelism: 1,
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),

@@ -10,7 +10,7 @@
 //	harmony-bench -bench-rebalance         # PS hot-stripe rebalance A/B + BENCH_psrebalance.json
 //	harmony-bench -bench-fair              # two-tenant fair-vs-FIFO A/B + BENCH_fair.json
 //	harmony-bench -bench-place             # net-aware placement A/B + BENCH_placement.json
-//	harmony-bench -bench-admit             # cluster-scale admission A/B + BENCH_admit.json
+//	harmony-bench -bench-admit             # cluster-scale admission report + BENCH_admit.json
 //	harmony-bench -list
 package main
 
@@ -103,9 +103,9 @@ func run(args []string) error {
 		"worker count for sweeps and the scheduler search (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
 	bench := fs.Bool("bench", false, "measure scheduler and sweep speedups, write BENCH_schedule.json, and exit")
 	benchOut := fs.String("bench-out", "BENCH_schedule.json", "output path for -bench results")
-	benchComm := fs.Bool("bench-comm", false, "measure the pull/push data plane against the gob baseline, write BENCH_commpath.json, and exit")
+	benchComm := fs.Bool("bench-comm", false, "measure the pull/push data plane, write BENCH_commpath.json, and exit")
 	benchCommOut := fs.String("bench-comm-out", "BENCH_commpath.json", "output path for -bench-comm results")
-	benchComp := fs.Bool("bench-comp", false, "measure the fast COMP path against the gob-decode serial baseline, write BENCH_comppath.json, and exit")
+	benchComp := fs.Bool("bench-comp", false, "measure the fast COMP path per algorithm, write BENCH_comppath.json, and exit")
 	benchCompOut := fs.String("bench-comp-out", "BENCH_comppath.json", "output path for -bench-comp results")
 	benchRebalance := fs.Bool("bench-rebalance", false, "measure skewed-access PS throughput with hot-stripe rebalancing off vs on, write BENCH_psrebalance.json, and exit")
 	benchRebalanceOut := fs.String("bench-rebalance-out", "BENCH_psrebalance.json", "output path for -bench-rebalance results")
@@ -113,7 +113,7 @@ func run(args []string) error {
 	benchFairOut := fs.String("bench-fair-out", "BENCH_fair.json", "output path for -bench-fair results")
 	benchPlace := fs.Bool("bench-place", false, "measure comm-heavy co-location under link contention with the net-aware scheduler vs the aggregate-bandwidth baseline, write BENCH_placement.json, and exit")
 	benchPlaceOut := fs.String("bench-place-out", "BENCH_placement.json", "output path for -bench-place results")
-	benchAdmit := fs.Bool("bench-admit", false, "measure cluster-scale admission (10K held jobs, 1K workers) on the incremental fast path vs the clone-and-rescore baseline, write BENCH_admit.json, and exit")
+	benchAdmit := fs.Bool("bench-admit", false, "measure cluster-scale admission (10K held jobs, 1K workers), write BENCH_admit.json, and exit")
 	benchAdmitOut := fs.String("bench-admit-out", "BENCH_admit.json", "output path for -bench-admit results")
 	if err := fs.Parse(args); err != nil {
 		return err

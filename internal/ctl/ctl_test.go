@@ -354,7 +354,7 @@ func TestMetricsExposition(t *testing.T) {
 		counters: master.Counters{
 			AdmittedInitial: 1, AdmittedArrival: 2, HeldPending: 3,
 			QueueDrained: 1, Canceled: 1, Preempted: 2, Migrations: 4,
-			Recoveries: 5, CheckpointFailures: 6,
+			Recoveries: 5, CheckpointFailures: 6, TeardownFailures: 7,
 		},
 		queues: []master.QueueView{{
 			Name: "default", Share: 1, QuotaWorkers: 2, UsageWorkers: 1,
@@ -399,6 +399,7 @@ func TestMetricsExposition(t *testing.T) {
 		`harmony_migrations_total 4`,
 		`harmony_recoveries_total 5`,
 		`harmony_checkpoint_failures_total 6`,
+		`harmony_teardown_failures_total 7`,
 		`harmony_utilization{resource="cpu"} 0.75`,
 		`harmony_utilization{resource="network"} 0.5`,
 		`harmony_comm_ops_total{op="pull"} 10`,

@@ -134,6 +134,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Sample{Name: "harmony_checkpoint_failures_total",
 			Help: "Background model snapshots that failed and were dropped.",
 			Type: metrics.PromCounter, Value: float64(c.CheckpointFailures)},
+		metrics.Sample{Name: "harmony_teardown_failures_total",
+			Help: "Drop RPCs that failed while a job's placement was torn down.",
+			Type: metrics.PromCounter, Value: float64(c.TeardownFailures)},
 	)
 	// Net-aware placement families (DESIGN.md §14), present only for
 	// groups whose comm phases the scheduler solved. Group labels are the

@@ -10,7 +10,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/fair"
 	"harmony/internal/ps"
-	"harmony/internal/rpc"
 	"harmony/internal/worker"
 	"harmony/internal/workload"
 )
@@ -109,6 +108,7 @@ type counters struct {
 	migrations         int64
 	recoveries         int64
 	checkpointFailures int64
+	teardownFailures   int64
 }
 
 // Counters is a snapshot of the master's control-plane counters.
@@ -134,6 +134,9 @@ type Counters struct {
 	// CheckpointFailures counts background model snapshots that failed
 	// and were dropped.
 	CheckpointFailures int64
+	// TeardownFailures counts drop RPCs that failed while a placement
+	// was torn down, one per worker and method (teardown.go).
+	TeardownFailures int64
 }
 
 // Counters snapshots the control-plane counters.
@@ -150,6 +153,7 @@ func (m *Master) Counters() Counters {
 		Migrations:         m.counters.migrations,
 		Recoveries:         m.counters.recoveries,
 		CheckpointFailures: m.counters.checkpointFailures,
+		TeardownFailures:   m.counters.teardownFailures,
 	}
 }
 
@@ -323,7 +327,7 @@ func (m *Master) drainQueue() {
 			if cand == nil {
 				continue
 			}
-			if !m.legacyAdmission && cand.rejectEpoch == m.admitEpoch {
+			if cand.rejectEpoch == m.admitEpoch {
 				// Nothing this verdict depended on has changed since the
 				// last pass rejected the job; skip the re-score.
 				continue
@@ -444,19 +448,12 @@ func (m *Master) Cancel(name string) error {
 	}
 	j.barriers = make(map[int]*barrierState)
 	close(j.finishedCh)
-	refs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		refs[i] = m.workers[wi]
-	}
+	refs := m.placementRefsLocked(j)
 	m.mu.Unlock()
 
-	// Best-effort teardown: drop the job's shards and model partitions.
-	for _, r := range refs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Drop the job's shards and model partitions; failures surface as
+	// counters and a journal event, not as a failed cancel.
+	m.teardown(name, refs)
 	m.wakeDrainer()
 	return nil
 }

@@ -34,8 +34,6 @@ type AdmitBenchConfig struct {
 	// ChurnRounds completes one seeded job per round and times the drain
 	// pass that re-evaluates the held queue against the vacated slot.
 	ChurnRounds int
-	// Legacy re-enables the pre-§15 clone-and-rescore admission path.
-	Legacy bool
 }
 
 func (c AdmitBenchConfig) withDefaults() AdmitBenchConfig {
@@ -54,13 +52,12 @@ func (c AdmitBenchConfig) withDefaults() AdmitBenchConfig {
 	return c
 }
 
-// AdmitBenchResult reports one mode's measurements.
+// AdmitBenchResult reports one run's measurements.
 type AdmitBenchResult struct {
-	Mode        string `json:"mode"`
-	Workers     int    `json:"workers"`
-	SeedJobs    int    `json:"seed_jobs"`
-	HeldJobs    int    `json:"held_jobs"`
-	ChurnRounds int    `json:"churn_rounds"`
+	Workers     int `json:"workers"`
+	SeedJobs    int `json:"seed_jobs"`
+	HeldJobs    int `json:"held_jobs"`
+	ChurnRounds int `json:"churn_rounds"`
 
 	// Enqueue latency over the held flood: each sample is one full
 	// admission decision (arrival rule + fair gates) that ends in a hold.
@@ -77,7 +74,8 @@ type AdmitBenchResult struct {
 	// per second (each round scans the full queue at least once).
 	HoldEvalsPerSec float64 `json:"hold_evals_per_sec"`
 	// FullScoreCalls counts full-plan Options.Score evaluations across
-	// the flood and churn phases: 0 on the fast path by construction.
+	// the flood and churn phases: 0 by construction, since admission
+	// scores incrementally.
 	FullScoreCalls int64 `json:"full_score_calls"`
 }
 
@@ -91,7 +89,7 @@ func benchSpec(name string, minW, maxW int) JobSpec {
 	}
 }
 
-// RunAdmitBench executes one benchmark mode against a fresh master.
+// RunAdmitBench executes one benchmark run against a fresh master.
 func RunAdmitBench(cfg AdmitBenchConfig) (AdmitBenchResult, error) {
 	cfg = cfg.withDefaults()
 	groupSize := cfg.Workers / cfg.Groups
@@ -99,11 +97,8 @@ func RunAdmitBench(cfg AdmitBenchConfig) (AdmitBenchResult, error) {
 		return AdmitBenchResult{}, fmt.Errorf("admitbench: %d workers cannot fill %d groups", cfg.Workers, cfg.Groups)
 	}
 	res := AdmitBenchResult{
-		Mode: "fast", Workers: cfg.Workers, SeedJobs: 2 * cfg.Groups,
+		Workers: cfg.Workers, SeedJobs: 2 * cfg.Groups,
 		HeldJobs: cfg.HeldJobs, ChurnRounds: cfg.ChurnRounds,
-	}
-	if cfg.Legacy {
-		res.Mode = "legacy"
 	}
 
 	// Two jobs per group is the steady state: the cap makes full groups
@@ -147,7 +142,6 @@ func RunAdmitBench(cfg AdmitBenchConfig) (AdmitBenchResult, error) {
 		m.workers = append(m.workers,
 			workerRef{name: fmt.Sprintf("w%04d", i), addr: stubAddr, client: client})
 	}
-	m.legacyAdmission = cfg.Legacy
 	m.admitEpoch++
 	m.mu.Unlock()
 
@@ -238,7 +232,7 @@ func RunAdmitBench(cfg AdmitBenchConfig) (AdmitBenchResult, error) {
 		res.AdmissionsPerSec = float64(res.Admissions) / res.DrainSeconds
 		// Each round scans the held queue at least once before giving up;
 		// this understates evaluations slightly (admit-terminated passes
-		// rescan) and is comparable across modes.
+		// rescan) and is comparable across runs.
 		res.HoldEvalsPerSec = float64(cfg.ChurnRounds) * float64(cfg.HeldJobs) / res.DrainSeconds
 	}
 	res.FullScoreCalls = core.FullScoreCalls() - scoreCalls

@@ -8,9 +8,6 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
-	"harmony/internal/ps"
-	"harmony/internal/rpc"
-	"harmony/internal/worker"
 )
 
 // This file wires the fair policy layer (internal/fair, DESIGN.md §13)
@@ -143,9 +140,8 @@ func (m *Master) runningLocked() []fair.Running {
 //
 // Placement tries, in order: the §IV-B4 arrival rule (the Scorer's
 // incremental BestAddition into a running group that improves the
-// scheduling score — bit-identical to the clone-and-rescore reference,
-// which legacyAdmission re-enables), then a new group on free workers
-// (the idle cluster is the degenerate case where every worker is free).
+// scheduling score), then a new group on free workers (the idle
+// cluster is the degenerate case where every worker is free).
 // Either path is vetoed when the queue is over quota and an under-quota
 // queue has held jobs (borrowing is gated). Caller holds mu's write
 // side.
@@ -167,30 +163,9 @@ func (m *Master) admitLocked(spec JobSpec, info core.JobInfo) (group []string, p
 	gated := m.fairsched.BorrowGated(queue, held, usage, total)
 	headroom := m.fairsched.QuotaWorkers(queue, total) - usage[queue]
 
-	var plan core.Plan
-	var members [][]string
-	var sc *core.Scorer
-	if m.legacyAdmission {
-		// The baseline pays exactly its historical costs: a fresh plan
-		// build and a clone-and-rescore per candidate group, no Scorer.
-		plan, members = m.livePlanLocked()
-	} else {
-		plan, members, sc = m.planScorerLocked()
-	}
+	plan, members, sc := m.planScorerLocked()
 	if len(plan.Groups) > 0 {
-		gi := -1
-		var pred core.GroupPrediction
-		if m.legacyAdmission {
-			if next, placed := core.TryAddJobReference(plan, info, m.opts); placed {
-				if found, ok := next.FindJob(info.ID); ok {
-					gi = found
-					pred = core.PredictGroup(next.Groups[found], m.opts.NetModel)
-				}
-			}
-		} else if found, p, placed := sc.BestAddition(info); placed {
-			gi, pred = found, p
-		}
-		if gi >= 0 && gi < len(members) {
+		if gi, pred, placed := sc.BestAddition(info); placed && gi < len(members) {
 			g := members[gi]
 			fits := len(g) >= min && (max <= 0 || len(g) <= max)
 			if fits && (!gated || len(g) <= headroom) {
@@ -303,10 +278,7 @@ func (m *Master) preemptJob(name, beneficiary string) {
 		m.mu.Unlock()
 		return
 	}
-	refs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		refs[i] = m.workers[wi]
-	}
+	refs := m.placementRefsLocked(j)
 	p := &pendingJob{
 		spec: j.spec, info: m.jobInfoLocked(name, j),
 		queue: j.queue, priority: j.priority, seq: j.arrival,
@@ -321,14 +293,9 @@ func (m *Master) preemptJob(name, beneficiary string) {
 	m.qcLocked(j.queue).preempted++
 	m.mu.Unlock()
 
-	// Best-effort teardown of the suspended placement; shards and model
-	// partitions rebuild from the checkpoint on re-admission.
-	for _, r := range refs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Tear the suspended placement down; shards and model partitions
+	// rebuild from the checkpoint on re-admission.
+	m.teardown(name, refs)
 }
 
 // QueueView is the per-queue status surface for GET /v1/queues and the

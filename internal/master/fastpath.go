@@ -60,9 +60,6 @@ func workerSetKey(idxs []int) string {
 // storing, and invalidators hold the write lock, so a stale build can
 // never overwrite a newer invalidation.
 func (m *Master) livePlanLocked() (core.Plan, [][]string) {
-	if m.legacyAdmission {
-		return m.buildLivePlanLocked()
-	}
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
 	if c := m.planCache; c != nil {
@@ -80,9 +77,6 @@ func (m *Master) livePlanLocked() (core.Plan, [][]string) {
 // journal stamping) may touch it.
 func (m *Master) planScorerLocked() (core.Plan, [][]string, *core.Scorer) {
 	plan, members := m.livePlanLocked()
-	if m.legacyAdmission {
-		return plan, members, core.NewScorer(plan, m.opts)
-	}
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
 	if c := m.planCache; c != nil {
@@ -109,13 +103,6 @@ func (m *Master) admitInputsLocked() (fair.Usage, []string, []fair.Held) {
 		m.heldCache = m.heldLocked()
 		m.inputEpoch = m.admitEpoch
 	}
-	if m.legacyAdmission {
-		// The baseline pays exactly its historical costs: usage and the
-		// free list were rebuilt for every admission decision, while the
-		// held view was snapshotted once per drain pass (it only changes
-		// when the pending queue does, which also moves the epoch).
-		return m.usageLocked(), m.freeWorkersLocked(), m.heldCache
-	}
 	return m.usageCache, m.freeCache, m.heldCache
 }
 
@@ -126,7 +113,7 @@ func (m *Master) addPendingLocked(p *pendingJob) {
 	m.pending = append(m.pending, p)
 	m.pendingIdx[p.spec.Name] = p
 	m.admitEpoch++
-	if !m.legacyAdmission && m.usageCache != nil && m.inputEpoch == m.admitEpoch-1 {
+	if m.usageCache != nil && m.inputEpoch == m.admitEpoch-1 {
 		// The queue append is the only input this bump covers: extend the
 		// held snapshot in place instead of rebuilding all three inputs on
 		// the next decision. Under an arrival flood this keeps each
@@ -161,16 +148,4 @@ func (m *Master) drainLoop() {
 			m.drainQueue()
 		}
 	}
-}
-
-// SetLegacyAdmission toggles the pre-§15 clone-and-rescore admission
-// path (full plan rebuild and full-plan rescoring per candidate, fresh
-// fair-policy inputs per decision, no reject-verdict cache). Decisions
-// are bit-identical either way; the A/B benchmark uses the toggle to
-// measure the fast path's speedup against an unchanged baseline.
-func (m *Master) SetLegacyAdmission(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.legacyAdmission = on
-	m.invalidatePlanLocked()
 }

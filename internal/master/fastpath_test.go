@@ -91,43 +91,60 @@ func TestWorkerSetKeyOrder(t *testing.T) {
 	}
 }
 
-// TestAdmitLegacyParity evaluates the same candidate stream against the
-// same locked master state through the fast path and through the
-// retained clone-and-rescore baseline, asserting decisions — placement,
-// initial flag, hold reason, and the journal prediction — are
-// bit-identical. Holding mu across both evaluations freezes the live
-// profiles, so the comparison is exact, not timing-dependent.
-func TestAdmitLegacyParity(t *testing.T) {
+// TestAdmitCacheParity evaluates the same candidate stream against the
+// same locked master state twice: once through the epoch-cached plan,
+// Scorer and fair-policy inputs, and once after clearing planCache and
+// the input caches so both are rebuilt from the jobs map. Between
+// candidates a profile observation moves the seed job's metrics the way
+// a barrier report does, so the cached path must also follow
+// invalidation. Decisions — placement, initial flag, hold reason, and
+// the journal prediction — must be bit-identical. Holding mu across both
+// evaluations freezes the live profiles, so the comparison is exact, not
+// timing-dependent.
+func TestAdmitCacheParity(t *testing.T) {
 	m := cluster(t, 2)
 	if _, err := m.Enqueue(spec("seed", mlapp.MLR, 100000),
 		Profile{CompSeconds: 4, NetSeconds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	for i := 0; i < 8; i++ {
-		s := spec(fmt.Sprintf("cand%d", i), mlapp.MLR, 10)
-		info := Profile{CompSeconds: 0.5 * float64(i), NetSeconds: 0.25}.info(s.Name)
-		m.legacyAdmission = false
-		m.planMu.Lock()
-		m.planCache = nil
-		m.planMu.Unlock()
-		m.admitEpoch++
-		gF, pF, iF, okF, rF := m.admitLocked(s, info)
-		m.legacyAdmission = true
-		gL, pL, iL, okL, rL := m.admitLocked(s, info)
-		m.legacyAdmission = false
-		if okF != okL || iF != iL || rF != rL {
-			t.Fatalf("cand%d verdict diverged: fast (%v,%v,%q), legacy (%v,%v,%q)",
-				i, okF, iF, rF, okL, iL, rL)
+	// compare runs under the write lock and returns the first divergence,
+	// so a failure releases mu before the cleanup's Close needs it.
+	compare := func() error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for i := 0; i < 8; i++ {
+			s := spec(fmt.Sprintf("cand%d", i), mlapp.MLR, 10)
+			info := Profile{CompSeconds: 0.5 * float64(i), NetSeconds: 0.25}.info(s.Name)
+			// Warm every cache, then move the seed's profile as
+			// handleBarrier does: observe, then invalidate.
+			m.admitLocked(s, info)
+			if m.planCache == nil || m.planCache.scorer == nil || m.inputEpoch != m.admitEpoch {
+				return fmt.Errorf("cand%d: caches not warm after an evaluation", i)
+			}
+			_ = m.profiles.Observe("seed", 2, 3+float64(i), 0.5+0.25*float64(i))
+			m.invalidatePlanLocked()
+			gC, pC, iC, okC, rC := m.admitLocked(s, info)
+			m.planMu.Lock()
+			m.planCache = nil
+			m.planMu.Unlock()
+			m.usageCache, m.freeCache, m.heldCache = nil, nil, nil
+			gF, pF, iF, okF, rF := m.admitLocked(s, info)
+			if okC != okF || iC != iF || rC != rF {
+				return fmt.Errorf("cand%d verdict diverged: cached (%v,%v,%q), fresh (%v,%v,%q)",
+					i, okC, iC, rC, okF, iF, rF)
+			}
+			if fmt.Sprint(gC) != fmt.Sprint(gF) {
+				return fmt.Errorf("cand%d placement diverged: cached %v, fresh %v", i, gC, gF)
+			}
+			if pC != pF {
+				return fmt.Errorf("cand%d prediction diverged: cached %+v, fresh %+v", i, pC, pF)
+			}
 		}
-		if fmt.Sprint(gF) != fmt.Sprint(gL) {
-			t.Fatalf("cand%d placement diverged: fast %v, legacy %v", i, gF, gL)
-		}
-		if pF != pL {
-			t.Fatalf("cand%d prediction diverged: fast %+v, legacy %+v", i, pF, pL)
-		}
+		return nil
 	}
-	m.mu.Unlock()
+	if err := compare(); err != nil {
+		t.Fatal(err)
+	}
 	_ = m.Cancel("seed")
 }
 

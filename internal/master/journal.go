@@ -34,6 +34,10 @@ const (
 	// predicted link compatibility — the compatibility analogue of the
 	// predicted-vs-measured T_itr/U stamps.
 	EventRecalibrate = "compat_recalibrate"
+	// EventTeardownFailed records the drop RPCs that failed while a
+	// placement was torn down (teardown.go); its Note names each failing
+	// worker and method. Successful teardowns are not journaled.
+	EventTeardownFailed = "teardown_failed"
 )
 
 // Event is one scheduler decision: what the master did with a job, the

@@ -174,16 +174,14 @@ type Master struct {
 	// admitInputsLocked are cached on the same key. planMu guards the
 	// cached live plan (planCache), which is built lazily under mu's
 	// read side and cleared by invalidatePlanLocked (lock order:
-	// mu → planMu). legacyAdmission re-enables the pre-fast-path
-	// clone-and-rescore behavior for the A/B benchmark.
-	admitEpoch      uint64
-	planMu          sync.Mutex
-	planCache       *livePlanCache
-	inputEpoch      uint64
-	usageCache      fair.Usage
-	freeCache       []string
-	heldCache       []fair.Held
-	legacyAdmission bool
+	// mu → planMu).
+	admitEpoch uint64
+	planMu     sync.Mutex
+	planCache  *livePlanCache
+	inputEpoch uint64
+	usageCache fair.Usage
+	freeCache  []string
+	heldCache  []fair.Held
 
 	// The single drainer goroutine (drainLoop) replaces the historical
 	// per-event `go m.drainQueue()` spawns: wakeups coalesce through the
@@ -221,6 +219,11 @@ type Master struct {
 	psOpMu   sync.Mutex
 	psStop   chan struct{}
 	psWG     sync.WaitGroup
+
+	// teardowns tracks completion teardowns, which run off the done RPC
+	// handler; Close waits for them before closing the worker connections
+	// they use. Adds happen under mu while !closed.
+	teardowns sync.WaitGroup
 }
 
 // New starts a master listening on addr ("127.0.0.1:0" for tests).
@@ -564,31 +567,43 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 
 func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[a.Job]
-	if !ok {
-		return worker.Ack{}, nil
-	}
-	if a.Epoch != j.epoch {
+	if !ok || a.Epoch != j.epoch {
+		m.mu.Unlock()
 		return worker.Ack{}, nil
 	}
 	j.doneFrom[a.Worker] = true
-	if len(j.doneFrom) >= len(j.workers) && j.status != StatusFinished && j.status != StatusCanceled {
-		// Freeze the final measured values into the completion event
-		// before the job leaves the live plan.
-		iter, ucpu, unet := m.measuredLocked(a.Job, j)
-		m.journal.append(Event{
-			Kind: EventComplete, Job: a.Job,
-			MeasuredIterSeconds: iter,
-			MeasuredCPUUtil:     ucpu,
-			MeasuredNetUtil:     unet,
-		})
-		j.status = StatusFinished
-		m.invalidatePlanLocked()
-		close(j.finishedCh)
-		// A completion frees capacity: drain the admission queue (§IV-B4).
-		m.wakeDrainer()
+	if len(j.doneFrom) < len(j.workers) || j.status == StatusFinished || j.status == StatusCanceled {
+		m.mu.Unlock()
+		return worker.Ack{}, nil
 	}
+	// Freeze the final measured values into the completion event before
+	// the job leaves the live plan.
+	iter, ucpu, unet := m.measuredLocked(a.Job, j)
+	m.journal.append(Event{
+		Kind: EventComplete, Job: a.Job,
+		MeasuredIterSeconds: iter,
+		MeasuredCPUUtil:     ucpu,
+		MeasuredNetUtil:     unet,
+	})
+	j.status = StatusFinished
+	m.invalidatePlanLocked()
+	close(j.finishedCh)
+	// A completion frees capacity: drain the admission queue (§IV-B4).
+	m.wakeDrainer()
+	if m.closed {
+		m.mu.Unlock()
+		return worker.Ack{}, nil
+	}
+	// Every worker has reported, so none still pulls: release the
+	// finished placement's shards and partitions off this handler.
+	refs := m.placementRefsLocked(j)
+	m.teardowns.Add(1)
+	m.mu.Unlock()
+	go func() {
+		defer m.teardowns.Done()
+		m.teardown(a.Job, refs)
+	}()
 	return worker.Ack{}, nil
 }
 
@@ -673,15 +688,12 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 		m.mu.Unlock()
 		return fmt.Errorf("master: job %q not paused", name)
 	}
-	oldRefs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		oldRefs[i] = m.workers[wi]
-	}
 	idxs, err := m.workerIndexesLocked(group)
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
+	oldRefs := m.placementRefsLocked(j)
 	fromIter := j.iter + 1
 	j.workers = idxs
 	j.status = StatusRunning
@@ -702,12 +714,7 @@ func (m *Master) Resume(name string, group []string, checkpoint []float64) error
 
 	// Tear the old placement down; shards and model partitions are
 	// rebuilt on the new group.
-	for _, r := range oldRefs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	m.teardown(name, oldRefs)
 	if err := m.deploy(j, checkpoint, fromIter); err != nil {
 		return err
 	}
@@ -883,6 +890,7 @@ func (m *Master) Close() {
 		close(psStop)
 	}
 	m.psWG.Wait()
+	m.teardowns.Wait()
 	for _, c := range clients {
 		c.Close()
 	}

@@ -122,3 +122,56 @@ func TestRebalancePSBalanced(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond) // let the loop take a few ticks
 }
+
+// TestCompletionTeardownDropsStripes runs a job to completion on a live
+// cluster: once WaitJob returns, the completion teardown must release
+// the job's PS partitions, so a scrape eventually lists no stripes for
+// it — and a healthy teardown records no failure.
+func TestCompletionTeardownDropsStripes(t *testing.T) {
+	m := cluster(t, 2)
+	if err := m.Submit(spec("done", mlapp.MLR, 6), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitJob("done", 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cs, err := m.PSStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := stripesByServer(cs, "done")
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stripes still held after completion: %v", left)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := m.Counters().TeardownFailures; got != 0 {
+		t.Errorf("TeardownFailures = %d after a healthy completion, want 0", got)
+	}
+	if evs := m.EventsSince(0, EventTeardownFailed); len(evs) != 0 {
+		t.Errorf("healthy completion journaled %+v", evs)
+	}
+}
+
+// TestPlacementRefsIncludeResizedServers pins that a teardown reaches
+// every server holding the job's partitions: after an elastic resize
+// onto a worker outside the group, that worker is part of the placement
+// too, listed once.
+func TestPlacementRefsIncludeResizedServers(t *testing.T) {
+	m := &Master{workers: []workerRef{
+		{name: "w0", addr: "a0"}, {name: "w1", addr: "a1"}, {name: "w2", addr: "a2"},
+	}}
+	j := &job{workers: []int{0, 1}, psServers: []string{"a2", "a1"}}
+	var names []string
+	for _, r := range m.placementRefsLocked(j) {
+		names = append(names, r.name)
+	}
+	if got := strings.Join(names, ","); got != "w0,w1,w2" {
+		t.Errorf("placement refs = %s, want w0,w1,w2", got)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"harmony/internal/ps"
-	"harmony/internal/rpc"
 	"harmony/internal/worker"
 )
 
@@ -30,13 +29,13 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 			// Servers mid-teardown; the next checkpoint will catch up.
 			// Count the loss so dropped snapshots stay visible (/metrics
 			// exposes harmony_checkpoint_failures_total).
-			m.checkpointFailed()
+			m.checkpointFailed(j)
 			return
 		}
 		defer client.Close()
 		snap, err := client.Snapshot(name, size)
 		if err != nil {
-			m.checkpointFailed()
+			m.checkpointFailed(j)
 			return
 		}
 		m.mu.Lock()
@@ -48,10 +47,14 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 	}()
 }
 
-// checkpointFailed counts a background snapshot that was dropped.
-func (m *Master) checkpointFailed() {
+// checkpointFailed counts a background snapshot that was dropped. A
+// snapshot that lost the race with its job's completion teardown is not
+// a failure: the finished job needs no checkpoint.
+func (m *Master) checkpointFailed(j *job) {
 	m.mu.Lock()
-	m.counters.checkpointFailures++
+	if j.status != StatusFinished {
+		m.counters.checkpointFailures++
+	}
 	m.mu.Unlock()
 }
 
@@ -156,10 +159,7 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	if restore != nil {
 		fromIter = j.checkpointIter + 1
 	}
-	oldRefs := make([]workerRef, len(j.workers))
-	for i, wi := range j.workers {
-		oldRefs[i] = m.workers[wi]
-	}
+	oldRefs := m.placementRefsLocked(j)
 	j.workers = idxs
 	j.status = StatusRunning
 	j.barriers = make(map[int]*barrierState)
@@ -177,13 +177,8 @@ func (m *Master) RecoverJob(name string, group []string) error {
 	j.lastRelease = time.Time{}
 	m.mu.Unlock()
 
-	// Best-effort cleanup on survivors that hosted the old placement.
-	for _, r := range oldRefs {
-		_, _ = rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,
-			worker.MethodDropJob, worker.DropJobArgs{Job: name}, time.Minute)
-		_, _ = rpc.Invoke[ps.DropArgs, ps.Ack](r.client,
-			ps.MethodDrop, ps.DropArgs{Job: name}, time.Minute)
-	}
+	// Clean up the survivors that hosted the old placement.
+	m.teardown(name, oldRefs)
 	// Journal after the deploy attempt so a failed restart is auditable
 	// in place: the PS client stamps the failing server's address into
 	// its fan-out errors, and that identity surfaces here.

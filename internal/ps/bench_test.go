@@ -74,8 +74,37 @@ func BenchmarkPullPush(b *testing.B) {
 //
 // The pre-refactor data plane, preserved verbatim in miniature: one
 // server-wide RWMutex, gob-encoded request/reply structs (the legacy
-// schema kept in ps.go), a full-partition copy under RLock per pull, and
+// schema below), a full-partition copy under RLock per pull, and
 // sequential decode into a fresh slice per call.
+
+// The legacy gob wire structs below are no longer what the data plane
+// sends; they remain as the reference schema for the gob baseline that
+// BenchmarkPullPush is measured against.
+
+// InitArgs creates (or replaces) a job's partition on one server.
+type InitArgs struct {
+	Job    string
+	Lo     int // global index of Values[0]
+	Values []float64
+}
+
+// PullArgs fetches a job's partition.
+type PullArgs struct {
+	Job string
+}
+
+// PullReply carries the partition back.
+type PullReply struct {
+	Lo     int
+	Values []float64
+}
+
+// PushArgs applies an additive delta to a job's partition.
+type PushArgs struct {
+	Job   string
+	Lo    int
+	Delta []float64
+}
 
 type gobPartition struct {
 	Lo     int

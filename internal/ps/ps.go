@@ -88,36 +88,6 @@ const (
 // Stripe-frame flag bits.
 const flagReplica = 1 // install as read replica, version-gated
 
-// The legacy gob wire structs below are no longer what the data plane
-// sends; they remain as the reference schema for the gob-baseline comm
-// benchmark (cmd/harmony-bench -bench-comm) that the binary codec is
-// measured against.
-
-// InitArgs creates (or replaces) a job's partition on one server.
-type InitArgs struct {
-	Job    string
-	Lo     int // global index of Values[0]
-	Values []float64
-}
-
-// PullArgs fetches a job's partition.
-type PullArgs struct {
-	Job string
-}
-
-// PullReply carries the partition back.
-type PullReply struct {
-	Lo     int
-	Values []float64
-}
-
-// PushArgs applies an additive delta to a job's partition.
-type PushArgs struct {
-	Job   string
-	Lo    int
-	Delta []float64
-}
-
 // Ack is an empty success reply.
 type Ack struct{}
 
