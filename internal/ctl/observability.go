@@ -137,6 +137,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Sample{Name: "harmony_teardown_failures_total",
 			Help: "Drop RPCs that failed while a job's placement was torn down.",
 			Type: metrics.PromCounter, Value: float64(c.TeardownFailures)},
+		metrics.Sample{Name: "harmony_profile_rejects_total",
+			Help: "Barrier profile samples rejected for negative or non-finite subtask seconds.",
+			Type: metrics.PromCounter, Value: float64(c.ProfileRejects)},
 	)
 	// Net-aware placement families (DESIGN.md §14), present only for
 	// groups whose comm phases the scheduler solved. Group labels are the

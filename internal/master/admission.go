@@ -9,7 +9,6 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/fair"
-	"harmony/internal/ps"
 	"harmony/internal/worker"
 	"harmony/internal/workload"
 )
@@ -109,6 +108,7 @@ type counters struct {
 	recoveries         int64
 	checkpointFailures int64
 	teardownFailures   int64
+	profileRejects     int64
 }
 
 // Counters is a snapshot of the master's control-plane counters.
@@ -137,6 +137,9 @@ type Counters struct {
 	// TeardownFailures counts drop RPCs that failed while a placement
 	// was torn down, one per worker and method (teardown.go).
 	TeardownFailures int64
+	// ProfileRejects counts barrier profile samples the profile store
+	// refused (negative or non-finite COMP/COMM seconds).
+	ProfileRejects int64
 }
 
 // Counters snapshots the control-plane counters.
@@ -154,6 +157,7 @@ func (m *Master) Counters() Counters {
 		Recoveries:         m.counters.recoveries,
 		CheckpointFailures: m.counters.checkpointFailures,
 		TeardownFailures:   m.counters.teardownFailures,
+		ProfileRejects:     m.counters.profileRejects,
 	}
 }
 
@@ -441,12 +445,7 @@ func (m *Master) Cancel(name string) error {
 	m.invalidatePlanLocked()
 	m.counters.canceled++
 	m.qcLocked(j.queue).canceled++
-	for _, bs := range j.barriers {
-		for _, ch := range bs.waiters {
-			ch <- worker.Stop
-		}
-	}
-	j.barriers = make(map[int]*barrierState)
+	m.releaseBarriersLocked(j, worker.Stop)
 	close(j.finishedCh)
 	refs := m.placementRefsLocked(j)
 	m.mu.Unlock()
@@ -651,10 +650,9 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 		timeout = time.Minute
 	}
 	type target struct {
-		name    string
-		servers []string
-		size    int
-		iter    int
+		name string
+		job  *job
+		iter int
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -676,26 +674,21 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 		if j.status != StatusRunning || j.iter == 0 {
 			continue
 		}
-		targets = append(targets, target{
-			name:    name,
-			servers: m.serverAddrsLocked(j),
-			size:    j.spec.Config.ModelSize(),
-			iter:    j.iter,
-		})
+		targets = append(targets, target{name: name, job: j, iter: j.iter})
 	}
 	m.mu.Unlock()
 	sort.Slice(targets, func(a, b int) bool { return targets[a].name < targets[b].name })
 
 	var saved []string
 	for _, t := range targets {
-		snap, err := snapshotModel(t.servers, t.name, t.size, timeout)
+		snap, err := m.snapshot(t.job, timeout)
 		m.mu.Lock()
 		if err != nil {
 			m.counters.checkpointFailures++
 			m.mu.Unlock()
 			continue
 		}
-		if j, ok := m.jobs[t.name]; ok && t.iter >= j.checkpointIter {
+		if j, ok := m.jobs[t.name]; ok && j == t.job && t.iter >= j.checkpointIter {
 			j.checkpoint = snap
 			j.checkpointIter = t.iter
 			saved = append(saved, t.name)
@@ -704,13 +697,4 @@ func (m *Master) Shutdown(timeout time.Duration) []string {
 	}
 	m.Close()
 	return saved
-}
-
-func snapshotModel(servers []string, name string, size int, timeout time.Duration) ([]float64, error) {
-	client, err := ps.NewClient(servers, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	return client.Snapshot(name, size)
 }

@@ -2,10 +2,12 @@ package master
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"harmony/internal/mlapp"
+	"harmony/internal/worker"
 )
 
 func TestEnqueueIdleClusterAdmits(t *testing.T) {
@@ -69,6 +71,16 @@ func TestEnqueueUnprofiledHeldWhileBusy(t *testing.T) {
 
 func TestQueueDrainOnCompletion(t *testing.T) {
 	m := cluster(t, 2)
+	// Hold a's workers at their first barrier until b is enqueued, so a
+	// cannot finish its six iterations before b's admission decision.
+	gate := make(chan struct{})
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before m.Close, which waits for the handlers
+	m.srv.Handle(worker.MethodBarrier, func(raw []byte) ([]byte, error) {
+		<-gate
+		return m.serveBarrier(raw)
+	})
 	if err := m.Submit(spec("a", mlapp.MLR, 6), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +91,7 @@ func TestQueueDrainOnCompletion(t *testing.T) {
 	if adm.Admitted {
 		t.Fatal("job b admitted while a was running")
 	}
+	release()
 	if err := m.WaitJob("a", 60*time.Second); err != nil {
 		t.Fatal(err)
 	}

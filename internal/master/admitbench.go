@@ -218,9 +218,7 @@ func RunAdmitBench(cfg AdmitBenchConfig) (AdmitBenchResult, error) {
 		}
 		m.mu.Unlock()
 		for _, w := range members {
-			if _, err := m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: w, Epoch: epoch}); err != nil {
-				return res, fmt.Errorf("admitbench: complete %s: %w", name, err)
-			}
+			m.handleJobDone(worker.JobDoneArgs{Job: name, Worker: w, Epoch: epoch})
 		}
 		t0 := time.Now()
 		m.drainQueue()

@@ -139,6 +139,15 @@ type job struct {
 	// nil means the default co-located placement. Reset on migration and
 	// recovery, which rebuild model partitions on the new group.
 	psServers []string
+
+	// snap is the PS client every model snapshot of this job uses (the
+	// periodic checkpoint, Pause, the Shutdown drain). It rides the
+	// master's existing worker connections and caches the job's stripe
+	// routes; snapKey is the server set it was built for, so a resize,
+	// migration or recovery that changes the set rebuilds it. teardown
+	// drops it.
+	snap    *ps.Client
+	snapKey string
 }
 
 // Master coordinates the live runtime. Create with New; stop with Close.
@@ -220,10 +229,11 @@ type Master struct {
 	psStop   chan struct{}
 	psWG     sync.WaitGroup
 
-	// teardowns tracks completion teardowns, which run off the done RPC
-	// handler; Close waits for them before closing the worker connections
-	// they use. Adds happen under mu while !closed.
-	teardowns sync.WaitGroup
+	// background tracks completion teardowns and periodic checkpoints,
+	// which run off the barrier and done RPC handlers; Close waits for
+	// them before closing the worker connections they borrow. Adds happen
+	// under mu while !closed.
+	background sync.WaitGroup
 }
 
 // New starts a master listening on addr ("127.0.0.1:0" for tests).
@@ -244,8 +254,11 @@ func New(addr string, opts core.Options) (*Master, error) {
 	}
 	go m.drainLoop()
 	m.srv.Handle("master.register", rpc.Typed(m.handleRegister))
-	m.srv.Handle(worker.MethodBarrier, rpc.Typed(m.handleBarrier))
-	m.srv.Handle(worker.MethodJobDone, rpc.Typed(m.handleJobDone))
+	// Barrier and done calls carry the binary frames of worker/barrier.go.
+	// They stay off the inline path: a barrier parks until its group
+	// arrives.
+	m.srv.Handle(worker.MethodBarrier, m.serveBarrier)
+	m.srv.Handle(worker.MethodJobDone, m.serveJobDone)
 	bound, err := m.srv.Listen(addr)
 	if err != nil {
 		return nil, err
@@ -382,10 +395,18 @@ func (m *Master) submitPending(p *pendingJob, group []string) error {
 	m.mu.Unlock()
 
 	if err := m.deploy(j, p.resume, fromIter); err != nil {
+		// Part of the gang may already run and park at a barrier the rest
+		// will never reach. Release it and drop whatever loaded before the
+		// job leaves m.jobs, where Close could still have found it. A
+		// retry of p deploys under a fresh epoch.
 		m.mu.Lock()
+		m.releaseBarriersLocked(j, worker.Stop)
+		refs := m.placementRefsLocked(j)
 		delete(m.jobs, spec.Name)
+		p.epoch = j.epoch
 		m.invalidatePlanLocked()
 		m.mu.Unlock()
+		m.teardown(spec.Name, refs)
 		return err
 	}
 	return nil
@@ -466,38 +487,68 @@ func (m *Master) deploy(j *job, restore []float64, fromIter int) error {
 	return nil
 }
 
+// serveBarrier is the raw handler of worker.MethodBarrier: it decodes
+// the barrier frame, runs the barrier and answers with one directive
+// byte.
+func (m *Master) serveBarrier(raw []byte) ([]byte, error) {
+	a, err := worker.ReadBarrierArgs(raw)
+	if err != nil {
+		return nil, err
+	}
+	d, err := m.handleBarrier(a)
+	if err != nil {
+		return nil, err
+	}
+	return worker.AppendDirective(rpc.GetBuffer(1)[:0], d), nil
+}
+
+// serveJobDone is the raw handler of worker.MethodJobDone; its reply is
+// empty.
+func (m *Master) serveJobDone(raw []byte) ([]byte, error) {
+	a, err := worker.ReadJobDoneArgs(raw)
+	if err != nil {
+		return nil, err
+	}
+	m.handleJobDone(a)
+	return nil, nil
+}
+
 // handleBarrier blocks each worker until the whole group reaches the
 // iteration boundary, then releases them with the pending directive.
-func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error) {
+func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.Directive, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[a.Job]
 	if !ok {
 		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
+		return worker.Stop, nil
 	}
 	if j.status == StatusCanceled || j.status == StatusFinished {
 		// A canceled job's stragglers must not park at a barrier no
 		// group-mate will ever reach.
 		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
+		return worker.Stop, nil
 	}
 	if a.Epoch != j.epoch {
 		// Straggler from a placement that recovery or migration already
 		// tore down; counting it would desync the new group's barrier.
 		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
+		return worker.Stop, nil
 	}
 	if m.draining || m.closed {
 		// Wind-down: a barrier call that parked here after Close released
 		// the existing waiters would pin the RPC server's handler wait
 		// group until the barrier timeout.
 		m.mu.Unlock()
-		return worker.BarrierReply{Directive: worker.Stop}, nil
+		return worker.Stop, nil
 	}
 	// Every observation can move the scheduler-visible profile (the EWMA
 	// supersedes submission hints once MinSamples accumulate), so the
-	// cached plan is stale; the same bump covers the pause flip below.
-	_ = m.profiles.Observe(a.Job, len(j.workers), a.CompSeconds, a.NetSeconds)
+	// cached plan is stale; the same bump covers the pause flip below. A
+	// rejected sample (negative or non-finite seconds) is counted, not
+	// folded in.
+	if err := m.profiles.Observe(a.Job, len(j.workers), a.CompSeconds, a.NetSeconds); err != nil {
+		m.counters.profileRejects++
+	}
 	m.invalidatePlanLocked()
 	j.loss = a.Loss
 	if a.Iteration > j.iter {
@@ -515,10 +566,9 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 		m.mu.Unlock()
 		select {
 		case d := <-ch:
-			return worker.BarrierReply{Directive: d}, nil
+			return d, nil
 		case <-time.After(5 * time.Minute):
-			return worker.BarrierReply{Directive: worker.Stop},
-				errors.New("master: barrier timed out")
+			return worker.Stop, errors.New("master: barrier timed out")
 		}
 	}
 	// Last arrival: release the whole group. The wall time between
@@ -562,20 +612,31 @@ func (m *Master) handleBarrier(a worker.BarrierArgs) (worker.BarrierReply, error
 	for _, ch := range waiters {
 		ch <- d
 	}
-	return worker.BarrierReply{Directive: d}, nil
+	return d, nil
 }
 
-func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
+// releaseBarriersLocked answers every worker parked at one of the job's
+// barriers with d and forgets the barriers. Caller holds mu.
+func (m *Master) releaseBarriersLocked(j *job, d worker.Directive) {
+	for _, bs := range j.barriers {
+		for _, ch := range bs.waiters {
+			ch <- d
+		}
+	}
+	j.barriers = make(map[int]*barrierState)
+}
+
+func (m *Master) handleJobDone(a worker.JobDoneArgs) {
 	m.mu.Lock()
 	j, ok := m.jobs[a.Job]
 	if !ok || a.Epoch != j.epoch {
 		m.mu.Unlock()
-		return worker.Ack{}, nil
+		return
 	}
 	j.doneFrom[a.Worker] = true
 	if len(j.doneFrom) < len(j.workers) || j.status == StatusFinished || j.status == StatusCanceled {
 		m.mu.Unlock()
-		return worker.Ack{}, nil
+		return
 	}
 	// Freeze the final measured values into the completion event before
 	// the job leaves the live plan.
@@ -593,18 +654,17 @@ func (m *Master) handleJobDone(a worker.JobDoneArgs) (worker.Ack, error) {
 	m.wakeDrainer()
 	if m.closed {
 		m.mu.Unlock()
-		return worker.Ack{}, nil
+		return
 	}
 	// Every worker has reported, so none still pulls: release the
 	// finished placement's shards and partitions off this handler.
 	refs := m.placementRefsLocked(j)
-	m.teardowns.Add(1)
+	m.background.Add(1)
 	m.mu.Unlock()
 	go func() {
-		defer m.teardowns.Done()
+		defer m.background.Done()
 		m.teardown(a.Job, refs)
 	}()
-	return worker.Ack{}, nil
 }
 
 // WaitJob blocks until the job completes.
@@ -660,7 +720,6 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 	j.pauseRequested = true
 	pausedCh := j.pausedCh
 	finishedCh := j.finishedCh
-	servers := m.serverAddrsLocked(j)
 	m.mu.Unlock()
 
 	select {
@@ -670,12 +729,7 @@ func (m *Master) Pause(name string, timeout time.Duration) ([]float64, error) {
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("master: pause of %q timed out", name)
 	}
-	client, err := ps.NewClient(servers, time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	return client.Snapshot(name, j.spec.Config.ModelSize())
+	return m.snapshot(j, time.Minute)
 }
 
 // Resume migrates a paused job onto a (possibly different) worker group,
@@ -874,12 +928,7 @@ func (m *Master) Close() {
 	psStop := m.psStop
 	m.psStop = nil
 	for _, j := range m.jobs {
-		for _, bs := range j.barriers {
-			for _, ch := range bs.waiters {
-				ch <- worker.Stop
-			}
-		}
-		j.barriers = make(map[int]*barrierState)
+		m.releaseBarriersLocked(j, worker.Stop)
 	}
 	clients := make([]*rpc.Client, 0, len(m.workers))
 	for _, w := range m.workers {
@@ -890,7 +939,7 @@ func (m *Master) Close() {
 		close(psStop)
 	}
 	m.psWG.Wait()
-	m.teardowns.Wait()
+	m.background.Wait()
 	for _, c := range clients {
 		c.Close()
 	}

@@ -13,23 +13,32 @@ import (
 // cluster spins up a master and n live workers over loopback TCP.
 func cluster(t *testing.T, n int) *Master {
 	t.Helper()
+	m, _ := clusterWorkers(t, n)
+	return m
+}
+
+// clusterWorkers is cluster that also returns the workers, w0 first.
+func clusterWorkers(t *testing.T, n int) (*Master, []*worker.Worker) {
+	t.Helper()
 	m, err := New("127.0.0.1:0", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	for i := 0; i < n; i++ {
+	ws := make([]*worker.Worker, n)
+	for i := range ws {
 		w, _, err := worker.New(
 			"w"+string(rune('0'+i)), "127.0.0.1:0", m.Addr(), t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(w.Close)
+		ws[i] = w
 	}
 	if err := m.WaitForWorkers(n, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, ws
 }
 
 func spec(name string, kind mlapp.Kind, iters int) JobSpec {

@@ -50,7 +50,7 @@ func (m *Master) PSStats() (ps.ClusterStats, error) {
 	return cs, nil
 }
 
-// psConnLocked returns a ConnFunc resolving PS addresses to the
+// psConn returns a ConnFunc resolving PS addresses to the
 // master's existing worker connections (the PS shares the worker's RPC
 // server, so no extra dials are needed).
 func (m *Master) psConn() ps.ConnFunc {

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,13 @@ func stripesByServer(cs ps.ClusterStats, job string) map[string]int {
 
 // TestElasticPSResizeLive shrinks a running job's parameter-server set
 // to a single worker mid-training: the drained servers' stripes must
-// live-migrate to the survivor, the workers must follow, and training
+// live-migrate to the survivor, the workers must follow, the next
+// checkpoint must read the whole model off the new set, and training
 // must still finish.
 func TestElasticPSResizeLive(t *testing.T) {
 	m := cluster(t, 3)
-	if err := m.Submit(spec("nmf", mlapp.NMF, 5000), nil); err != nil {
+	job := spec("nmf", mlapp.NMF, 5000)
+	if err := m.Submit(job, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
@@ -83,6 +86,29 @@ func TestElasticPSResizeLive(t *testing.T) {
 	}
 	if !strings.Contains(resized.Note, "-> 1") {
 		t.Errorf("resize note = %q, want server count -> 1", resized.Note)
+	}
+
+	// A checkpoint taken after the resize rebuilds the job's snapshot
+	// client for the shrunk set and still tiles the whole model.
+	_, resizedAt, _, _ := m.Status("nmf")
+	waitCheckpoint(t, m, "nmf", resizedAt+1)
+	ckpt, _, err := m.Checkpoint("nmf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt) != job.Config.ModelSize() {
+		t.Errorf("post-resize checkpoint has %d parameters, want %d", len(ckpt), job.Config.ModelSize())
+	}
+	for i, v := range ckpt {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("post-resize checkpoint parameter %d = %v", i, v)
+		}
+	}
+	m.mu.Lock()
+	key, want := m.jobs["nmf"].snapKey, m.workers[0].addr
+	m.mu.Unlock()
+	if key != want {
+		t.Errorf("snapshot client built for servers %q, want %q", key, want)
 	}
 
 	// Cut the run short; training must complete against the shrunk set.

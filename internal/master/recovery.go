@@ -2,6 +2,7 @@ package master
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"harmony/internal/ps"
@@ -20,21 +21,15 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 	if iteration == 0 || iteration%CheckpointEvery != 0 {
 		return
 	}
-	servers := m.serverAddrsLocked(j)
 	name := j.spec.Name
-	size := j.spec.Config.ModelSize()
+	m.background.Add(1)
 	go func() {
-		client, err := ps.NewClient(servers, time.Minute)
+		defer m.background.Done()
+		snap, err := m.snapshot(j, time.Minute)
 		if err != nil {
 			// Servers mid-teardown; the next checkpoint will catch up.
 			// Count the loss so dropped snapshots stay visible (/metrics
 			// exposes harmony_checkpoint_failures_total).
-			m.checkpointFailed(j)
-			return
-		}
-		defer client.Close()
-		snap, err := client.Snapshot(name, size)
-		if err != nil {
 			m.checkpointFailed(j)
 			return
 		}
@@ -45,6 +40,32 @@ func (m *Master) maybeCheckpoint(j *job, iteration int) {
 		}
 		m.mu.Unlock()
 	}()
+}
+
+// snapshot reads a job's full model off its parameter servers through
+// the job's snapshot client (job.snap), building that client over the
+// master's worker connections when the job's server set changed since
+// the last build. Called without mu held.
+func (m *Master) snapshot(j *job, timeout time.Duration) ([]float64, error) {
+	m.mu.Lock()
+	addrs := m.serverAddrsLocked(j)
+	key := strings.Join(addrs, ",")
+	client := j.snap
+	if j.snapKey != key {
+		client = nil
+	}
+	name, size := j.spec.Name, j.spec.Config.ModelSize()
+	m.mu.Unlock()
+	if client == nil {
+		var err error
+		if client, err = ps.NewClientOver(addrs, m.psConn(), timeout); err != nil {
+			return nil, err
+		}
+		m.mu.Lock()
+		j.snap, j.snapKey = client, key
+		m.mu.Unlock()
+	}
+	return client.SnapshotWithin(name, size, timeout)
 }
 
 // checkpointFailed counts a background snapshot that was dropped. A
@@ -118,12 +139,7 @@ func (m *Master) RemoveWorker(name string) ([]string, error) {
 		j.status = StatusPaused
 		j.pauseRequested = false
 		// Release any workers blocked at this job's barrier so they stop.
-		for _, bs := range j.barriers {
-			for _, ch := range bs.waiters {
-				ch <- worker.Stop
-			}
-		}
-		j.barriers = make(map[int]*barrierState)
+		m.releaseBarriersLocked(j, worker.Stop)
 		j.pausedCh = make(chan struct{})
 	}
 	// Worker indexes shifted and affected jobs left the running set: the

@@ -49,6 +49,11 @@ func (m *Master) placementRefsLocked(j *job) []workerRef {
 // counts each in Counters.TeardownFailures and journals them together as
 // one teardown_failed event. Called without mu held.
 func (m *Master) teardown(job string, refs []workerRef) []error {
+	m.mu.Lock()
+	if j := m.jobs[job]; j != nil {
+		j.snap = nil // its cached routes name the partitions dropped below
+	}
+	m.mu.Unlock()
 	phase := TeardownTimeout / 2
 	errs := dropAll(refs, func(r workerRef) error {
 		_, err := rpc.Invoke[worker.DropJobArgs, worker.Ack](r.client,

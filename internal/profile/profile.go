@@ -8,6 +8,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -81,12 +82,14 @@ func NewStore(alpha float64) *Store {
 
 // Observe folds one iteration's measurements into the job's averages:
 // tcpu and tnet are the observed COMP and COMM subtask seconds at DoP m.
+// Negative and non-finite times are rejected: one NaN or Inf folded into
+// an EWMA would stay there and poison every later plan.
 func (s *Store) Observe(jobID string, dop int, tcpu, tnet float64) error {
 	if dop < 1 {
 		return fmt.Errorf("profile: observe %s at DoP %d, need >= 1", jobID, dop)
 	}
-	if tcpu < 0 || tnet < 0 {
-		return fmt.Errorf("profile: observe %s with negative times (%.3f, %.3f)", jobID, tcpu, tnet)
+	if !validSeconds(tcpu) || !validSeconds(tnet) {
+		return fmt.Errorf("profile: observe %s with invalid times (%g, %g)", jobID, tcpu, tnet)
 	}
 	comp := tcpu * float64(dop) // normalize to machine-seconds via Eq. 2
 	s.mu.Lock()
@@ -114,6 +117,12 @@ func (s *Store) Observe(jobID string, dop int, tcpu, tnet float64) error {
 	m.Samples++
 	s.jobs[jobID] = m
 	return nil
+}
+
+// validSeconds reports whether t is a usable measured duration: finite
+// and not negative.
+func validSeconds(t float64) bool {
+	return t >= 0 && !math.IsInf(t, 1)
 }
 
 // Metrics returns the job's profiled summary; ok is false when the job has

@@ -81,6 +81,29 @@ func TestObserveErrors(t *testing.T) {
 	}
 }
 
+// TestObserveRejectsNonFinite: a NaN or infinite sample must be refused
+// and leave the averages exactly as they were — folded into the EWMA it
+// would never wash out.
+func TestObserveRejectsNonFinite(t *testing.T) {
+	s := NewStore(0.3)
+	mustObserve(t, s, "j", 2, 1, 0.5)
+	before, _ := s.Metrics("j")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.Observe("j", 2, bad, 0.5); err == nil {
+			t.Errorf("Observe with tcpu %v succeeded", bad)
+		}
+		if err := s.Observe("j", 2, 1, bad); err == nil {
+			t.Errorf("Observe with tnet %v succeeded", bad)
+		}
+	}
+	if after, _ := s.Metrics("j"); after != before {
+		t.Errorf("rejected samples moved the profile: %+v -> %+v", before, after)
+	}
+	if err := s.Observe("k", 1, math.NaN(), 1); err == nil || s.Len() != 1 {
+		t.Errorf("first sample NaN: err %v, %d jobs recorded", err, s.Len())
+	}
+}
+
 func TestProfiledThreshold(t *testing.T) {
 	s := NewStore(0.3)
 	for i := 0; i < MinSamples; i++ {

@@ -74,6 +74,12 @@ type Client struct {
 	readReplicas atomic.Bool
 	rr           atomic.Uint64
 
+	// conn opens (or, when borrowed, looks up) the connection to one
+	// server address. Borrowed connections belong to the caller of
+	// NewClientOver, so Close leaves them open.
+	conn     ConnFunc
+	borrowed bool
+
 	mu      sync.RWMutex
 	addrs   []string
 	clients map[string]*rpc.Client
@@ -83,21 +89,40 @@ type Client struct {
 	retired []*rpc.Client
 }
 
-// NewClient connects to every server address.
+// NewClient dials every server address.
 func NewClient(addrs []string, timeout time.Duration) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("ps: no server addresses")
-	}
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
+	return openClient(addrs, timeout, func(addr string) (*rpc.Client, error) {
+		return rpc.Dial(addr, timeout)
+	}, false)
+}
+
+// NewClientOver builds a client on connections the caller already holds:
+// conn resolves each server address, here and in SetServers. Close drops
+// the client's routes and leaves those connections open for their owner
+// (the master snapshots models over its existing worker connections).
+func NewClientOver(addrs []string, conn ConnFunc, timeout time.Duration) (*Client, error) {
+	if timeout <= 0 {
+		timeout = 30 * time.Second
+	}
+	return openClient(addrs, timeout, conn, true)
+}
+
+func openClient(addrs []string, timeout time.Duration, conn ConnFunc, borrowed bool) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("ps: no server addresses")
+	}
 	c := &Client{
-		timeout: timeout,
-		clients: make(map[string]*rpc.Client),
-		routes:  make(map[string]*jobRoute),
+		timeout:  timeout,
+		conn:     conn,
+		borrowed: borrowed,
+		clients:  make(map[string]*rpc.Client),
+		routes:   make(map[string]*jobRoute),
 	}
 	for _, addr := range addrs {
-		cl, err := rpc.Dial(addr, timeout)
+		cl, err := conn(addr)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("ps: dial server %s: %w", addr, err)
@@ -136,13 +161,13 @@ func (c *Client) SetServers(addrs []string) error {
 		c.mu.RUnlock()
 		if cl == nil {
 			var err error
-			cl, err = rpc.Dial(addr, c.timeout)
+			cl, err = c.conn(addr)
 			if err != nil {
 				for a, opened := range fresh {
 					c.mu.RLock()
 					reused := c.clients[a] == opened
 					c.mu.RUnlock()
-					if !reused {
+					if !reused && !c.borrowed {
 						opened.Close()
 					}
 				}
@@ -261,13 +286,13 @@ func (c *Client) install(job string, model []float64, method string) error {
 // can transiently appear on no server (the queries are not an atomic
 // snapshot: dest asked before its install, source asked after the
 // handoff), so incomplete tilings retry briefly before failing.
-func (c *Client) refreshRoute(job string) (*jobRoute, error) {
+func (c *Client) refreshRoute(job string, timeout time.Duration) (*jobRoute, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * time.Millisecond)
 		}
-		route, incomplete, err := c.queryRoutes(job)
+		route, incomplete, err := c.queryRoutes(job, timeout)
 		if err == nil {
 			return route, nil
 		}
@@ -281,7 +306,7 @@ func (c *Client) refreshRoute(job string) (*jobRoute, error) {
 
 // queryRoutes performs one routes fan-out. incomplete marks failures a
 // racing migration explains (retryable); hard failures are not.
-func (c *Client) queryRoutes(job string) (route *jobRoute, incomplete bool, err error) {
+func (c *Client) queryRoutes(job string, timeout time.Duration) (route *jobRoute, incomplete bool, err error) {
 	addrs, conns := c.snapshotServers()
 	replies := make([]RoutesReply, len(addrs))
 	errs := make([]error, len(addrs))
@@ -296,7 +321,7 @@ func (c *Client) queryRoutes(job string) (route *jobRoute, incomplete bool, err 
 				return
 			}
 			replies[i], errs[i] = rpc.Invoke[RoutesArgs, RoutesReply](
-				cl, MethodRoutes, RoutesArgs{Job: job}, c.timeout)
+				cl, MethodRoutes, RoutesArgs{Job: job}, timeout)
 		}(i)
 	}
 	wg.Wait()
@@ -361,7 +386,7 @@ func (c *Client) queryRoutes(job string) (route *jobRoute, incomplete bool, err 
 // atomic snapshot), so a short route retries rather than erring — and a
 // genuinely short model (the caller asked past the end) surfaces as the
 // final error.
-func (c *Client) routeCovering(job string, need int, r *jobRoute) (*jobRoute, error) {
+func (c *Client) routeCovering(job string, need int, r *jobRoute, timeout time.Duration) (*jobRoute, error) {
 	var err error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		if r != nil && r.extent() >= need {
@@ -370,7 +395,7 @@ func (c *Client) routeCovering(job string, need int, r *jobRoute) (*jobRoute, er
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * time.Millisecond)
 		}
-		if r, err = c.refreshRoute(job); err != nil {
+		if r, err = c.refreshRoute(job, timeout); err != nil {
 			return nil, err
 		}
 	}
@@ -396,14 +421,14 @@ func (c *Client) Pull(job string, modelSize int) ([]float64, error) {
 // is the model size). Each stripe decodes straight into its slice of the
 // buffer, so the steady-state pull allocates nothing.
 func (c *Client) PullInto(job string, model []float64) error {
-	return c.pullStripes(job, MethodPull, 0, model, true)
+	return c.pullStripes(job, MethodPull, 0, model, true, c.timeout)
 }
 
 // PullRange fetches the model elements [lo, lo+len(dst)) into dst.
 // Stripes overlapping the range travel whole; only the overlap lands in
 // dst. Used by range-oriented consumers (the skew load generator).
 func (c *Client) PullRange(job string, lo int, dst []float64) error {
-	return c.pullStripes(job, MethodPull, lo, dst, true)
+	return c.pullStripes(job, MethodPull, lo, dst, true, c.timeout)
 }
 
 // Snapshot checkpoints the full model (used when pausing a job). It
@@ -411,8 +436,14 @@ func (c *Client) PullRange(job string, lo int, dst []float64) error {
 // job does not stall co-located jobs' pushes. Snapshots always read
 // primaries, never replicas: the result is the exact aggregation state.
 func (c *Client) Snapshot(job string, modelSize int) ([]float64, error) {
+	return c.SnapshotWithin(job, modelSize, c.timeout)
+}
+
+// SnapshotWithin is Snapshot with a per-call RPC timeout in place of the
+// client's (a shutdown drain bounds each job's final checkpoint).
+func (c *Client) SnapshotWithin(job string, modelSize int, timeout time.Duration) ([]float64, error) {
 	model := make([]float64, modelSize)
-	if err := c.pullStripes(job, MethodSnapshot, 0, model, false); err != nil {
+	if err := c.pullStripes(job, MethodSnapshot, 0, model, false, timeout); err != nil {
 		return nil, err
 	}
 	return model, nil
@@ -423,10 +454,10 @@ func (c *Client) Snapshot(job string, modelSize int) ([]float64, error) {
 // the forward target (chasing the stripe through back-to-back
 // migrations); one without a hint triggers a route refresh. Connection
 // errors abort with the server identity attached.
-func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, allowReplicas bool) error {
+func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, allowReplicas bool, timeout time.Duration) error {
 	start := time.Now()
 	var movedBytes int64
-	r, err := c.routeCovering(job, reqLo+len(dst), c.route(job))
+	r, err := c.routeCovering(job, reqLo+len(dst), c.route(job), timeout)
 	if err != nil {
 		return err
 	}
@@ -439,7 +470,7 @@ func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, allow
 				method, job, len(pending), attempt)
 		}
 		if attempt > 0 && !allForwarded(pending, forwards) {
-			if r, err = c.routeCovering(job, reqLo+len(dst), nil); err != nil {
+			if r, err = c.routeCovering(job, reqLo+len(dst), nil, timeout); err != nil {
 				return err
 			}
 			time.Sleep(time.Millisecond)
@@ -482,7 +513,7 @@ func (c *Client) pullStripes(job, method string, reqLo int, dst []float64, allow
 				for _, s := range idxs {
 					body = rpc.AppendUint32(body, uint32(s))
 				}
-				reply, err := conns[addr].Call(method, body, c.timeout)
+				reply, err := conns[addr].Call(method, body, timeout)
 				rpc.PutBuffer(body)
 				if err != nil {
 					res.err = err
@@ -636,7 +667,7 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
 	if reqLo < 0 {
 		return fmt.Errorf("ps: push %q: negative offset %d", job, reqLo)
 	}
-	r, err := c.routeCovering(job, reqLo+len(delta), c.route(job))
+	r, err := c.routeCovering(job, reqLo+len(delta), c.route(job), c.timeout)
 	if err != nil {
 		return err
 	}
@@ -648,7 +679,7 @@ func (c *Client) pushStripes(job string, reqLo int, delta []float64) error {
 				job, len(pending), attempt)
 		}
 		if attempt > 0 && !allForwarded(pending, forwards) {
-			if r, err = c.routeCovering(job, reqLo+len(delta), nil); err != nil {
+			if r, err = c.routeCovering(job, reqLo+len(delta), nil, c.timeout); err != nil {
 				return err
 			}
 			time.Sleep(time.Millisecond)
@@ -773,7 +804,8 @@ func (c *Client) Drop(job string) error {
 	return nil
 }
 
-// Close tears down the connections, including any retired by SetServers.
+// Close tears down the connections, including any retired by SetServers;
+// a client built by NewClientOver only forgets them.
 func (c *Client) Close() {
 	c.mu.Lock()
 	conns := c.clients
@@ -782,6 +814,9 @@ func (c *Client) Close() {
 	c.clients = make(map[string]*rpc.Client)
 	c.retired = nil
 	c.mu.Unlock()
+	if c.borrowed {
+		return
+	}
 	for _, cl := range conns {
 		if cl != nil {
 			cl.Close()

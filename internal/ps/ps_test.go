@@ -245,3 +245,58 @@ func TestNewClientErrors(t *testing.T) {
 		t.Error("NewClient to dead address succeeded")
 	}
 }
+
+// TestClientOverBorrowedConns builds a client on connections the test
+// owns: it must route and snapshot through them, dial nothing of its
+// own, and leave them open on Close (and SetServers) so their owner can
+// keep using them.
+func TestClientOverBorrowedConns(t *testing.T) {
+	addrs := startCluster(t, 2)
+	owned := make(map[string]*rpc.Client)
+	for _, a := range addrs {
+		cl, err := rpc.Dial(a, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		owned[a] = cl
+	}
+	lookups := 0
+	conn := func(addr string) (*rpc.Client, error) {
+		lookups++
+		return owned[addr], nil
+	}
+	model := seqModel(300)
+	if err := newClient(t, addrs).Init("j", model); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := NewClientOver(addrs, conn, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		got, err := c.SnapshotWithin("j", len(model), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range model {
+			if got[i] != model[i] {
+				t.Fatalf("round %d: element %d = %v, want %v", round, i, got[i], model[i])
+			}
+		}
+	}
+	if err := c.SetServers(addrs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if lookups != len(addrs) {
+		t.Errorf("%d connection lookups, want %d (one per server, at construction)", lookups, len(addrs))
+	}
+	c.Close()
+	for a, cl := range owned {
+		if _, err := rpc.Invoke[RoutesArgs, RoutesReply](cl, MethodRoutes,
+			RoutesArgs{Job: "j"}, time.Second); err != nil {
+			t.Errorf("borrowed connection to %s unusable after Close: %v", a, err)
+		}
+	}
+}

@@ -17,9 +17,11 @@
 //	request:  u16 methodLen, method, body
 //	response: u8 status (0 ok, 1 err), body (error text when status=1)
 //
-// Bodies are opaque to the transport. Control-plane methods gob-encode
-// their bodies through Typed/Invoke; bulk data-plane methods carry the
-// binary float frames of frame.go and skip gob entirely. The framing
+// Bodies are opaque to the transport. Bulk data-plane methods carry the
+// binary float frames of frame.go, and the per-iteration barrier calls
+// carry fixed binary frames (worker/barrier.go); both skip gob. The
+// remaining control-plane methods gob-encode their bodies through
+// Typed/Invoke. The framing
 // itself never reflects or copies per element, so a megabyte body costs
 // one buffered write on the way out and one ReadFull into a pooled
 // buffer on the way in.
@@ -33,6 +35,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -92,6 +95,7 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
+	accepted atomic.Uint64
 }
 
 // NewServer returns an empty server; register handlers before Serve.
@@ -154,6 +158,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
+		s.accepted.Add(1)
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -302,6 +307,10 @@ func (s *Server) Addr() string {
 	}
 	return s.ln.Addr().String()
 }
+
+// Accepted reports how many connections the server has accepted since
+// Listen, closed ones included.
+func (s *Server) Accepted() uint64 { return s.accepted.Load() }
 
 // Close stops accepting, closes every connection and waits for in-flight
 // handlers to drain.

@@ -134,44 +134,6 @@ type StatsReply struct {
 	PhaseHist [obs.NumPhases]metrics.HistSnapshot
 }
 
-// BarrierArgs is the per-iteration synchronization call to the master
-// (the SubTask Synchronizer of Fig. 7). The reply directs the worker.
-type BarrierArgs struct {
-	Job       string
-	Worker    string
-	Iteration int
-	// Epoch is the placement epoch from StartJobArgs; mismatched calls
-	// are stale and answered with Stop.
-	Epoch int
-	// Measured subtask seconds for profiling (§IV-B1).
-	CompSeconds float64
-	NetSeconds  float64
-	// Loss lets the master track convergence.
-	Loss float64
-}
-
-// BarrierReply tells the worker how to continue.
-type BarrierReply struct {
-	Directive Directive
-}
-
-// Directive is the master's instruction at an iteration boundary.
-type Directive int
-
-// Directives.
-const (
-	Continue Directive = iota + 1
-	Pause
-	Stop
-)
-
-// JobDoneArgs reports that this worker finished all iterations.
-type JobDoneArgs struct {
-	Job    string
-	Worker string
-	Epoch  int
-}
-
 // Ack is an empty reply.
 type Ack struct{}
 
@@ -470,23 +432,18 @@ func (w *Worker) drive(job string, st *jobState, from, iterations, epoch int) {
 		if rec != nil {
 			barrierStart = time.Now()
 		}
-		reply, err := rpc.Invoke[BarrierArgs, BarrierReply](w.master, MethodBarrier, BarrierArgs{
+		d, err := w.barrier(BarrierArgs{
 			Job: job, Worker: w.name, Iteration: iter, Epoch: epoch,
 			CompSeconds: compSecs, NetSeconds: netSecs, Loss: loss,
-		}, time.Minute)
+		})
 		if rec != nil {
 			rec.Record(obs.PhaseBarrier, job, iter, barrierStart, time.Now())
 		}
-		if err != nil {
-			return
-		}
-		switch reply.Directive {
-		case Pause, Stop:
+		if err != nil || d != Continue {
 			return
 		}
 	}
-	_, _ = rpc.Invoke[JobDoneArgs, Ack](w.master, MethodJobDone,
-		JobDoneArgs{Job: job, Worker: w.name, Epoch: epoch}, time.Minute)
+	_ = w.jobDone(JobDoneArgs{Job: job, Worker: w.name, Epoch: epoch})
 }
 
 // materializeShard assembles the shard view for one COMP subtask, paying
@@ -612,6 +569,11 @@ func (w *Worker) EnableTracing(capacity int) {
 func (w *Worker) SetCompParallelism(n int) {
 	w.compWorkers.Store(int32(parallel.Workers(n)))
 }
+
+// Accepted reports how many connections the worker's RPC server (which
+// hosts its parameter server) has accepted: the master's, and one per
+// group-mate PS client of every job loaded on the worker's group.
+func (w *Worker) Accepted() uint64 { return w.srv.Accepted() }
 
 // Name reports the worker's registered name.
 func (w *Worker) Name() string { return w.name }

@@ -10,8 +10,23 @@ import (
 )
 
 // fakeMaster is a minimal barrier-free master endpoint for driving a
-// worker directly.
+// worker directly: every barrier answers Continue.
 func fakeMaster(t *testing.T) string {
+	t.Helper()
+	return stubMaster(t, func(raw []byte) ([]byte, error) {
+		if _, err := ReadBarrierArgs(raw); err != nil {
+			return nil, err
+		}
+		return AppendDirective(rpc.GetBuffer(1)[:0], Continue), nil
+	}, func(raw []byte) ([]byte, error) {
+		_, err := ReadJobDoneArgs(raw)
+		return nil, err
+	})
+}
+
+// stubMaster serves registration plus the given raw barrier and done
+// handlers, and returns its address.
+func stubMaster(t *testing.T, barrier, done rpc.Handler) string {
 	t.Helper()
 	srv := rpc.NewServer()
 	type registerArgs struct {
@@ -21,12 +36,8 @@ func fakeMaster(t *testing.T) string {
 	srv.Handle("master.register", rpc.Typed(func(a registerArgs) (Ack, error) {
 		return Ack{}, nil
 	}))
-	srv.Handle(MethodBarrier, rpc.Typed(func(a BarrierArgs) (BarrierReply, error) {
-		return BarrierReply{Directive: Continue}, nil
-	}))
-	srv.Handle(MethodJobDone, rpc.Typed(func(a JobDoneArgs) (Ack, error) {
-		return Ack{}, nil
-	}))
+	srv.Handle(MethodBarrier, barrier)
+	srv.Handle(MethodJobDone, done)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +48,12 @@ func fakeMaster(t *testing.T) string {
 
 func startWorker(t *testing.T) (*Worker, *rpc.Client) {
 	t.Helper()
-	w, addr, err := New("unit", "127.0.0.1:0", fakeMaster(t), t.TempDir())
+	return startWorkerWith(t, fakeMaster(t))
+}
+
+func startWorkerWith(t *testing.T, masterAddr string) (*Worker, *rpc.Client) {
+	t.Helper()
+	w, addr, err := New("unit", "127.0.0.1:0", masterAddr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
